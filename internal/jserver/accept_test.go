@@ -3,8 +3,10 @@ package jserver
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fremont/internal/jclient"
 )
@@ -51,5 +53,36 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	}
 	if fl.failures.Load() >= 0 {
 		t.Fatal("flaky listener never exercised its failures")
+	}
+}
+
+// TestConnectionGoroutinesExit: a closed connection must leave no
+// goroutine behind — its shutdown watcher included, which must not keep
+// waiting for server Close once the connection has ended.
+func TestConnectionGoroutinesExit(t *testing.T) {
+	s := New(nil)
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		c, err := jclient.Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	open := s.obs.Gauge("jserver_open_connections")
+	deadline := time.Now().Add(5 * time.Second)
+	for open.Value() != 0 || runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 50 closed connections: %d open, %d goroutines (baseline %d)",
+				open.Value(), runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -5,6 +5,7 @@ package jserver
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,9 +27,9 @@ import (
 // Server owns a Journal and serves the jwire protocol. The server itself
 // holds no lock around query dispatch: the Journal's internal read/write
 // lock lets Get queries from many connections proceed in parallel while
-// stores serialize against them. When a WAL is attached, mutating
-// requests additionally serialize on logMu so the log's append order is
-// exactly the journal's apply order.
+// stores serialize against them. When a WAL is attached, the log's
+// commit leader applies mutations in LSN order, so the log's append
+// order is exactly the journal's apply order.
 type Server struct {
 	journal *journal.Journal
 
@@ -62,24 +63,14 @@ type Server struct {
 	tenantRecs   *obs.GaugeVec   // jserver_tenant_records{tenant=...}
 	quotaRejects *obs.CounterVec // jserver_tenant_quota_rejects_total{tenant=...}
 
-	// logMu is the commit/snapshot barrier. Mutating requests hold it
-	// for READING across their whole stage+wait+apply span — many can
-	// run concurrently, sharing commit groups in the WAL. SaveSnapshot
-	// takes it for WRITING, which quiesces the pipeline: no frame is
-	// staged-but-unapplied while the write lock is held, so a snapshot
-	// covers exactly the records below its WAL rotation boundary.
+	// logMu is the commit/snapshot barrier. A connection holds it for
+	// READING from its burst's first stage until the burst drains (every
+	// ticket waited on, so applied) — many connections at once, sharing
+	// commit groups in the WAL. SaveSnapshot takes it for WRITING, which
+	// quiesces the pipeline: no frame is staged-but-unapplied while the
+	// write lock is held, so a snapshot covers exactly the records below
+	// its WAL rotation boundary.
 	logMu sync.RWMutex
-	// stageMu is the short sequencing lock inside the pipeline: one
-	// holder at a time stages its frame in the WAL (assigning the LSN)
-	// and takes its place in the apply queue, so WAL order and apply
-	// order are assigned atomically. The expensive work — the group
-	// commit's write+fsync, the journal apply — happens outside it.
-	stageMu sync.Mutex
-	// applyTail is the tail of the apply-order queue: each staged
-	// mutation replaces it with its own done channel and waits for its
-	// predecessor's, so journal applies happen in exactly LSN order —
-	// replay order — even though durability waits finish out of order.
-	applyTail chan struct{}
 	// saveMu serializes whole SaveSnapshot calls (ticker loop vs.
 	// explicit callers) so two writers never race on the same rename.
 	saveMu sync.Mutex
@@ -149,7 +140,6 @@ func New(j *journal.Journal) *Server {
 		journal:          j,
 		SnapshotInterval: 5 * time.Minute,
 		quit:             make(chan struct{}),
-		applyTail:        closedChan,
 		obs:              reg,
 		reqCount:         reg.CounterVec("jserver_requests_total", "op"),
 		reqLat:           reg.HistogramVec("jserver_request_seconds", "op", nil),
@@ -480,10 +470,9 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// pipelineDepth bounds the requests one connection may have in flight
-// through the dispatch pipeline: the reader stops reading ahead once
-// this many responses are unwritten, which is also what bounds the
-// per-connection memory the pipeline can pin.
+// pipelineDepth bounds the responses one connection may owe: the handler
+// stops reading ahead and drains once this many are unwritten, which is
+// also what bounds the per-connection memory the pipeline can pin.
 const pipelineDepth = 64
 
 // connBufSize sizes the per-connection buffered reader and writer. The
@@ -493,165 +482,195 @@ const pipelineDepth = 64
 // flush when the pipeline drains.
 const connBufSize = 32 << 10
 
-// inflight is one request's slot in a connection's response queue: the
-// writer goroutine blocks on resp so responses go out in request order
-// no matter how dispatch interleaves.
-type inflight struct {
-	resp chan []byte
-}
-
-// handleConn serves one connection with a pipelined read-ahead loop:
-// the reader thread decodes frames as fast as they arrive, sequences
-// mutations into the WAL in arrival order (so one client's burst lands
-// in the same commit group), and hands each request to a dispatch
-// goroutine; a writer goroutine streams responses back in request
-// order. A per-request ordering chain makes every request wait for its
-// predecessor's journal effect before executing, so a pipelined
-// read-your-writes sequence behaves exactly as it would serially.
+// handleConn serves one connection on one goroutine. It reads ahead
+// while a whole frame is buffered, staging mutations in arrival order so
+// one client's burst shares a commit group, whose leader applies them in
+// LSN order. It settles the burst before anything that must see its
+// effect (a query, a namespace switch, a quota check), and drains it
+// before anything that must block (a read that would, a full pipeline,
+// a subscribe).
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	s.connsTot.Inc()
 	s.conns.Add(1)
 	defer s.conns.Add(-1)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		<-s.quit
-		conn.Close() // unblock reads on shutdown
+		select {
+		case <-s.quit:
+			conn.Close() // unblock reads on shutdown
+		case <-done:
+		}
 	}()
 
 	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-
-	// Response writer: drain the in-order queue, flushing only when no
-	// further response is imminent. A write failure keeps draining (the
-	// dispatch goroutines must not block on a dead connection) but
-	// closes the conn so the reader stops feeding the pipeline.
-	pending := make(chan *inflight, pipelineDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		failed := false
-		for fl := range pending {
-			resp := <-fl.resp
-			if !failed {
-				err := jwire.WriteFrame(bw, resp)
-				if err == nil && len(pending) == 0 {
-					err = bw.Flush()
-				}
-				if err != nil {
-					failed = true
-					conn.Close()
-				}
-			}
-			jwire.PutBuf(resp)
-		}
-		if !failed {
-			bw.Flush()
-		}
-	}()
-
-	// ns/tj are the connection's tenant scope: OpNamespace switches them
-	// for every later request on this connection (the empty namespace is
-	// the default journal).
-	ns, tj := "", s.journal
-	// prev is the connection's request-order chain: closed when the
-	// previous request's effect is visible in the journal.
-	prev := closedChan
+	p := &connPipe{s: s, bw: bufio.NewWriterSize(conn, connBufSize), tj: s.journal}
+	defer p.drain()
 	for {
+		if p.n == pipelineDepth || !frameBuffered(br) {
+			if p.drain() != nil {
+				return
+			}
+		}
 		req, err := jwire.ReadFrameBuf(br, jwire.GetBuf())
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				log.Printf("jserver: read: %v", err)
 			}
-			break
+			return
 		}
-		if len(req) > 0 && req[0] == jwire.OpNamespace {
-			// Handled inline on the reader thread: the scope switch must
-			// apply to the very next frame read. Earlier in-flight
-			// requests captured their own ns/tj.
-			resp, newNS, newJ := s.handleNamespace(req)
-			jwire.PutBuf(req)
-			if newJ != nil {
-				ns, tj = newNS, newJ
-			}
-			fl := &inflight{resp: make(chan []byte, 1)}
-			fl.resp <- resp
-			pending <- fl
-			continue
-		}
-		if len(req) > 0 && req[0] == jwire.OpSubscribe {
-			if ns != "" {
-				// The hub publishes default-journal commits only; a scoped
-				// connection cannot stream them.
-				fl := &inflight{resp: make(chan []byte, 1)}
-				fl.resp <- errPayload(errors.New("jserver: subscribe not valid on a tenant namespace"))
-				pending <- fl
-				jwire.PutBuf(req)
-				continue
-			}
+		if len(req) > 0 && req[0] == jwire.OpSubscribe && p.ns == "" {
 			// The connection flips to push mode and never returns to
-			// request/response: drain the pipeline so every earlier
-			// response is on the wire, then serve the stream until it
-			// ends and drop the connection.
-			close(pending)
-			<-writerDone
-			s.serveSubscription(conn, br, req[1:])
+			// request/response: every earlier response goes out first.
+			if p.drain() == nil {
+				s.serveSubscription(conn, br, req[1:])
+			}
 			jwire.PutBuf(req)
 			return
 		}
+		p.serve(req)
+	}
+}
 
-		// Backpressure before sequencing: once the pipeline is full the
-		// reader must not stage frames (or take locks) it cannot hand
-		// off, or a stalled consumer could pin the commit pipeline.
-		fl := &inflight{resp: make(chan []byte, 1)}
-		pending <- fl
+// frameBuffered reports whether br already holds one whole frame, so
+// reading it cannot block. Buffered is checked before Peek because a
+// Peek past the buffered bytes blocks on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
+}
 
-		// Mutations are sequenced HERE, on the reader thread, so one
-		// connection's mutation order is its arrival order — and a
-		// pipelined burst stages back-to-back into one commit group.
-		mutates := jwire.PayloadMutates(req)
-		var st stagedOp
-		var errResp []byte
-		staged := false
-		if s.WAL != nil && mutates {
-			if ns != "" {
-				// Quota must be checked against an up-to-date record
-				// count, so a tenant mutation first waits for the
-				// connection's previous request to apply. This
-				// serializes tenant mutations per connection (matching
-				// pre-pipelining semantics); only the default
-				// namespace gets the fully pipelined fast path.
-				<-prev
-				if err := s.checkQuota(ns, tj); err != nil {
-					errResp = errPayload(err)
-				}
-			}
-			if errResp == nil {
-				st, errResp = s.stageMutation(ns, req)
-				staged = errResp == nil
+// connPipe is one connection's pipeline: the responses it owes in
+// request order and the WAL tickets of the mutations staged since the
+// last settle. The slots live in a fixed array, so a commit leader on
+// another connection's goroutine can fill one while this connection
+// keeps staging.
+type connPipe struct {
+	s    *Server
+	bw   *bufio.Writer
+	owed [pipelineDepth]struct {
+		resp   []byte
+		ticket wal.Ticket // LSN 0 unless the response awaits a commit
+	}
+	n int // owed slots in use
+
+	// ns/tj are the connection's tenant scope: OpNamespace switches them
+	// for every later request (the empty namespace is the default journal).
+	ns string
+	tj *journal.Journal
+
+	// locked is set from the burst's first stage until it settles: the
+	// burst holds logMu for reading and has commits to publish. The lock
+	// is taken once per burst, never per stage: a second RLock queued
+	// behind a waiting SaveSnapshot would deadlock against the first.
+	locked bool
+}
+
+// owe queues resp as the next response in request order.
+func (p *connPipe) owe(resp []byte) {
+	p.owed[p.n].resp = resp
+	p.n++
+}
+
+// serve handles one request frame other than a default-namespace
+// subscribe, queuing its response.
+func (p *connPipe) serve(req []byte) {
+	s := p.s
+	switch {
+	case len(req) > 0 && req[0] == jwire.OpNamespace:
+		p.settle()
+		resp, ns, j := s.handleNamespace(req)
+		if j != nil {
+			p.ns, p.tj = ns, j
+		}
+		p.owe(resp)
+	case len(req) > 0 && req[0] == jwire.OpSubscribe:
+		// The hub publishes default-journal commits only; a scoped
+		// connection cannot stream them.
+		p.owe(errPayload(errors.New("jserver: subscribe not valid on a tenant namespace")))
+	case s.WAL != nil && jwire.PayloadMutates(req):
+		if p.ns != "" {
+			// The quota is checked against an up-to-date record count.
+			p.settle()
+			if err := s.checkQuota(p.ns, p.tj); err != nil {
+				p.owe(errPayload(err))
+				break
 			}
 		}
-
-		mine := make(chan struct{})
-		go func(req []byte, ns string, tj *journal.Journal, prev chan struct{}) {
-			var resp []byte
-			switch {
-			case errResp != nil:
-				<-prev
-				resp = errResp
-			case staged:
-				resp = s.executeStagedAfter(req, ns, tj, st, prev)
-			default:
-				<-prev
-				resp = s.dispatchNS(req, ns, tj)
-			}
-			close(mine)
-			jwire.PutBuf(req)
-			fl.resp <- resp
-		}(req, ns, tj, prev)
-		prev = mine
+		p.stage(req)
+		return // req is recycled by its apply callback
+	default:
+		p.settle()
+		p.owe(s.dispatchNS(req, p.ns, p.tj))
 	}
-	close(pending)
-	<-writerDone
+	jwire.PutBuf(req)
+}
+
+// stage logs one mutating frame in the WAL. The commit leader applies it
+// to the connection's journal once it is durable, in LSN order, and
+// fills its response slot.
+func (p *connPipe) stage(req []byte) {
+	s := p.s
+	if !p.locked {
+		s.logMu.RLock()
+		p.locked = true
+	}
+	o, j := &p.owed[p.n], p.tj
+	var err error
+	o.ticket, err = s.WAL.Stage(scope(p.ns, req), func() {
+		o.resp = s.apply(req, j)
+		jwire.PutBuf(req)
+	})
+	if err != nil { // no ticket: the callback never runs
+		o.resp = walErr(err)
+		jwire.PutBuf(req)
+	}
+	p.n++
+}
+
+// settle makes the burst's mutations visible: wait for every staged
+// ticket (durable and applied once Wait returns), release logMu, and
+// publish the burst's commits once — before any of their acks is
+// written, so an ack is never ahead of its push.
+func (p *connPipe) settle() {
+	owed := p.owed[:p.n]
+	for i := range owed {
+		if t := owed[i].ticket; t.LSN != 0 {
+			if err := t.Wait(); err != nil {
+				owed[i].resp = walErr(err)
+			}
+			owed[i].ticket = wal.Ticket{}
+		}
+	}
+	if p.locked {
+		p.s.logMu.RUnlock()
+		p.locked = false
+		p.s.published(p.ns, p.tj)
+	}
+}
+
+// drain settles the pipeline, then writes every owed response in order
+// and flushes. The error is the connection's write error, if any; it is
+// sticky in the buffered writer, so every later drain reports it too.
+func (p *connPipe) drain() error {
+	p.settle()
+	var err error
+	for i := range p.owed[:p.n] {
+		if err == nil {
+			err = jwire.WriteFrame(p.bw, p.owed[i].resp)
+		}
+		jwire.PutBuf(p.owed[i].resp)
+		p.owed[i].resp = nil
+	}
+	p.n = 0
+	if err != nil {
+		return err
+	}
+	return p.bw.Flush()
 }
 
 // handleNamespace answers one OpNamespace request: resolve (creating if
@@ -789,81 +808,27 @@ func (s *Server) serveSubscription(conn net.Conn, rd io.Reader, body []byte) {
 	sub.stop()
 }
 
-// closedChan seeds the apply-order queue: the first staged mutation's
-// predecessor is already "done".
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// stagedOp is one mutation's place in the commit pipeline: its WAL
-// ticket (durability) and its slot in the apply-order queue.
-type stagedOp struct {
-	ticket wal.Ticket
-	prev   chan struct{} // closed when the previous staged mutation applied
-	turn   chan struct{} // closed by this mutation after it applies
+// scope wraps a tenant's frame in its WAL envelope; default-namespace
+// frames stay raw, so every pre-tenancy WAL replays unchanged.
+func scope(ns string, req []byte) []byte {
+	if ns == "" {
+		return req
+	}
+	return jwire.ScopePayload(ns, req)
 }
 
-// stageMutation sequences one mutating frame: under the short stageMu
-// critical section it stages the (tenant-enveloped) frame in the WAL —
-// assigning its LSN — and takes the next slot in the apply-order queue,
-// so log order and apply order can never diverge. The caller holds
-// logMu for reading across the returned stagedOp's whole lifetime;
-// executeStagedAfter releases it. On failure the read lock is already
-// released and an error response returned.
-func (s *Server) stageMutation(ns string, req []byte) (stagedOp, []byte) {
-	frame := req
-	if ns != "" {
-		frame = jwire.ScopePayload(ns, req)
-	}
-	s.logMu.RLock()
-	s.stageMu.Lock()
-	ticket, err := s.WAL.Stage(frame)
-	if err != nil {
-		s.stageMu.Unlock()
-		s.logMu.RUnlock()
-		return stagedOp{}, errPayload(fmt.Errorf("jserver: wal append: %w", err))
-	}
-	st := stagedOp{ticket: ticket, prev: s.applyTail, turn: make(chan struct{})}
-	s.applyTail = st.turn
-	s.stageMu.Unlock()
-	return st, nil
+func walErr(err error) []byte {
+	return errPayload(fmt.Errorf("jserver: wal append: %w", err))
 }
 
-// executeStagedAfter finishes a staged mutation: wait for durability
-// (the group commit — this is where concurrent mutations share one
-// fsync), wait for the connection's previous request (connPrev) and the
-// apply-order slot, apply to the journal, release the slot, and
-// publish. The response is built only after the frame is on disk,
-// preserving acknowledged-implies-fsynced. A mutation whose commit
-// group failed still takes and releases its slot (without touching the
-// journal) so its successors never deadlock.
-//
-// The two waits cannot deadlock: per-connection request order and
-// global stage order agree for any one connection (mutations stage on
-// the reader thread, in arrival order), so the union of both chains is
-// acyclic.
-func (s *Server) executeStagedAfter(req []byte, ns string, j *journal.Journal, st stagedOp, connPrev chan struct{}) []byte {
-	werr := st.ticket.Wait()
-	<-connPrev
-	<-st.prev
-	var resp []byte
-	if werr != nil {
-		resp = errPayload(fmt.Errorf("jserver: wal append: %w", werr))
+// published announces committed mutations on ns: default-journal commits
+// feed the subscription hub, tenant ones refresh the tenant's gauge.
+func (s *Server) published(ns string, j *journal.Journal) {
+	if ns == "" {
+		s.publishChanges()
 	} else {
-		resp = s.apply(req, j)
+		s.tenantRecs.With(ns).Set(int64(j.RecordCount()))
 	}
-	close(st.turn)
-	s.logMu.RUnlock()
-	if werr == nil {
-		if ns == "" {
-			s.publishChanges()
-		} else {
-			s.tenantRecs.With(ns).Set(int64(j.RecordCount()))
-		}
-	}
-	return resp
 }
 
 // apply routes one frame body to the journal: a single operation or an
@@ -878,51 +843,43 @@ func (s *Server) apply(req []byte, j *journal.Journal) []byte {
 }
 
 // dispatch routes one frame: either a single operation or an OpBatch
-// carrying many. The journal's own locking serializes stores and lets
-// queries run in parallel. With a WAL attached, a frame carrying any
-// mutation (a whole OpBatch logs as one append) is made durable before
-// it is applied — write-ahead, so an acknowledged store can always be
-// replayed — and the stage+apply pipeline keeps log order equal to
-// apply order while concurrent mutations share group commits. Pure
-// queries skip all of this.
-//
-// Mutations end by publishing to the subscription hub, outside the
-// stage lock (the hub re-reads the journal, so fan-out work never
-// extends the commit critical section) and before the response is
-// framed back to the caller — a push is behind durability, never ahead
-// of it.
+// carrying many. With a WAL attached, a frame carrying any mutation (a
+// whole OpBatch logs as one append) is made durable before the WAL's
+// commit leader applies it — write-ahead, so an acknowledged store can
+// always be replayed. Mutations then publish to the subscription hub
+// before the response is returned: a push is behind durability, never
+// ahead of it.
 func (s *Server) dispatch(req []byte) []byte {
 	return s.dispatchNS(req, "", s.journal)
 }
 
 // dispatchNS is dispatch scoped to a tenant: j is the journal the frame
-// reads and writes, ns its namespace ("" = default). Tenant mutations are
-// WAL-logged inside a jwire.ScopePayload envelope so recovery replays
-// them into the right journal; default-namespace frames stay raw, so
-// every pre-tenancy WAL replays unchanged. Only default-journal commits
-// feed the subscription hub.
+// reads and writes, ns its namespace ("" = default). Connections stage
+// their WAL mutations through connPipe instead.
 func (s *Server) dispatchNS(req []byte, ns string, j *journal.Journal) []byte {
-	mutates := jwire.PayloadMutates(req)
-	if mutates && ns != "" {
+	if !jwire.PayloadMutates(req) {
+		return s.apply(req, j)
+	}
+	if ns != "" {
 		if err := s.checkQuota(ns, j); err != nil {
 			return errPayload(err)
 		}
 	}
-	if s.WAL != nil && mutates {
-		st, errResp := s.stageMutation(ns, req)
-		if errResp != nil {
-			return errResp
+	var resp []byte
+	if s.WAL == nil {
+		resp = s.apply(req, j)
+	} else {
+		s.logMu.RLock()
+		t, err := s.WAL.Stage(scope(ns, req), func() { resp = s.apply(req, j) })
+		if err == nil {
+			err = t.Wait()
 		}
-		return s.executeStagedAfter(req, ns, j, st, closedChan)
-	}
-	resp := s.apply(req, j)
-	if mutates {
-		if ns == "" {
-			s.publishChanges()
-		} else {
-			s.tenantRecs.With(ns).Set(int64(j.RecordCount()))
+		s.logMu.RUnlock()
+		if err != nil {
+			return walErr(err)
 		}
 	}
+	s.published(ns, j)
 	return resp
 }
 

@@ -7,6 +7,7 @@ package jserver
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,5 +248,92 @@ func TestPipelineThenSubscribe(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("saw %d of 10 pipelined stores on the stream", got)
 		}
+	}
+}
+
+// TestSnapshotRacesPipelinedBursts loops SaveSnapshot — rotation plus
+// compaction — while four pipelined clients burst stores into a
+// SyncAlways WAL server, then recovers a fresh server from the files:
+// every acknowledged store must come back. A connection that took the
+// snapshot barrier once per store instead of once per burst deadlocks
+// here against the waiting snapshot.
+func TestSnapshotRacesPipelinedBursts(t *testing.T) {
+	const clients, bursts, burst = 4, 10, 25
+	dir := t.TempDir()
+	boot := func() *Server {
+		s := New(nil)
+		s.SnapshotPath = filepath.Join(dir, "snap.jnl")
+		l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WAL = l
+		return s
+	}
+	s := boot()
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var acked []pkt.IP
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		p, err := jclient.DialPipeline(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for b := 0; b < bursts; b++ {
+				obs := make([]journal.IfaceObs, burst)
+				futs := make([]jclient.StoreFuture, burst)
+				for i := range futs {
+					obs[i] = pipeObs(c<<16 + b*burst + i)
+					futs[i] = p.StoreInterface(obs[i])
+				}
+				for i, f := range futs {
+					if _, _, err := f.Result(); err != nil {
+						t.Errorf("client %d store: %v", c, err)
+						return
+					}
+					mu.Lock()
+					acked = append(acked, obs[i].IP)
+					mu.Unlock()
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	saves := 0
+	for running := true; running; saves++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := s.SaveSnapshot(); err != nil {
+			t.Fatalf("snapshot %d: %v", saves, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := boot()
+	defer r.WAL.Close()
+	if _, err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ip := range acked {
+		if recs := r.Journal().Interfaces(journal.Query{ByIP: ip, HasIP: true}); len(recs) != 1 {
+			t.Fatalf("acknowledged store %v lost across %d snapshots", ip, saves)
+		}
+	}
+	if got, want := r.Journal().RecordCount(), clients*bursts*burst; len(acked) != want || got != want {
+		t.Fatalf("acked %d, recovered %d, issued %d", len(acked), got, want)
 	}
 }

@@ -31,7 +31,8 @@ import (
 //     per-connection handler, spawned by its own accept loop) inherit a
 //     token attached to the object that implies their existence: Accept
 //     returns a connection carrying one pending token, consumed by the
-//     first operation any goroutine performs on that connection.
+//     first operation any goroutine performs on that connection; a
+//     listener made outside a tracked goroutine carries one until Accept.
 //
 // gateMu also serializes ALL simulator state between the event loop and
 // external goroutines: RunGated holds it across each event, and every

@@ -172,6 +172,8 @@ type TCPListener struct {
 	acceptors []*gwaiter
 	tokens    tokenPool
 	closed    bool
+
+	inheritPending bool // ListenTCP's token awaits the first Accept
 }
 
 // ListenTCP binds a listener on port across all of the node's interfaces.
@@ -191,6 +193,13 @@ func ListenTCP(nd *Node, port uint16) (*TCPListener, error) {
 	}
 	l := &TCPListener{node: nd, port: port, ip: nd.Ifaces[0].IP}
 	th.listeners[port] = l
+	// Made outside a tracked goroutine, the listener is about to be
+	// served by an accept loop the gate cannot see being born: hold a
+	// token for it until its first Accept (cf. TCPConn.claim).
+	if g := n.gate; !g.has(curGID()) {
+		l.inheritPending = true
+		g.grantPool(&l.tokens)
+	}
 	return l, nil
 }
 
@@ -204,6 +213,13 @@ func (l *TCPListener) Accept() (net.Conn, error) {
 	g := n.gate
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if l.inheritPending {
+		// An untracked acceptor keeps ListenTCP's token to park with.
+		l.inheritPending = false
+		if g.has(curGID()) {
+			g.releasePool(&l.tokens)
+		}
+	}
 	for {
 		if len(l.backlog) > 0 {
 			c := l.backlog[0]

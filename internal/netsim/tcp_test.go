@@ -461,3 +461,56 @@ func TestTCPDeterministicTransfer(t *testing.T) {
 		t.Fatal("transfer did not complete")
 	}
 }
+
+// TestTCPLateUntrackedAcceptLoop serves a listener the way a real server
+// does — an untracked accept loop that hands each conn to its own
+// goroutine — but starts that loop late in real time. Virtual time must
+// wait for it: without the listener's inherited token the client's
+// request would sit unanswered until the run's deadline.
+func TestTCPLateUntrackedAcceptLoop(t *testing.T) {
+	n, a, b := tcpPair(t, 5)
+	ln, err := ListenTCP(b, 7777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 64)
+				if nr, err := conn.Read(buf); err == nil {
+					conn.Write(bytes.ToUpper(buf[:nr]))
+				}
+			}()
+		}
+	}()
+	done := make(chan error, 1)
+	n.Go(func() {
+		done <- func() error {
+			conn, err := DialTCP(a, "10.0.0.2:7777", 5*time.Second)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("late")); err != nil {
+				return err
+			}
+			buf := make([]byte, 64)
+			nr, err := io.ReadAtLeast(conn, buf, 4)
+			if err != nil {
+				return err
+			}
+			if string(buf[:nr]) != "LATE" {
+				return fmt.Errorf("echo = %q", buf[:nr])
+			}
+			return nil
+		}()
+	})
+	runActors(t, n, 10*time.Second, 1, done)
+}

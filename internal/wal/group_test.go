@@ -6,6 +6,7 @@ package wal
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -197,5 +198,134 @@ func TestCloseCommitsStagedTickets(t *testing.T) {
 	defer l2.Close()
 	if lsns, payloads := collect(t, l2); len(lsns) != 1 || string(payloads[0]) != "orphan" {
 		t.Fatalf("staged record lost: %v", lsns)
+	}
+}
+
+// TestGroupCommitCallbacksInLSNOrder stages from 8 goroutines under
+// SyncAlways, some waiting per record and some per burst: every apply
+// callback must run exactly once, in strictly increasing LSN order
+// across groups, and before its own ticket's Wait returns.
+func TestGroupCommitCallbacksInLSNOrder(t *testing.T) {
+	const writers, perWriter, burst = 8, 40, 5
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	const total = writers * perWriter
+	var runs [total]atomic.Int32
+	var mu sync.Mutex
+	var order []int // record ids in callback order
+	lsnOf := make(map[int]uint64, total)
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var held []Ticket
+			var ids []int
+			for i := 0; i < perWriter; i++ {
+				id := w*perWriter + i
+				tk, err := l.Stage([]byte(fmt.Sprint(id)), func() {
+					runs[id].Add(1)
+					mu.Lock()
+					order = append(order, id)
+					mu.Unlock()
+				})
+				if err != nil {
+					t.Errorf("stage: %v", err)
+					return
+				}
+				mu.Lock()
+				lsnOf[id] = tk.LSN
+				mu.Unlock()
+				held, ids = append(held, tk), append(ids, id)
+				// Odd writers wait per record, even writers per burst.
+				if w%2 == 1 || len(held) == burst || i == perWriter-1 {
+					for k, tk := range held {
+						if err := tk.Wait(); err != nil {
+							t.Errorf("wait: %v", err)
+							return
+						}
+						if runs[ids[k]].Load() != 1 {
+							t.Errorf("record %d: Wait returned before its callback ran", ids[k])
+						}
+					}
+					held, ids = held[:0], ids[:0]
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if len(order) != total {
+		t.Fatalf("%d callbacks ran, want %d", len(order), total)
+	}
+	for id := range runs {
+		if n := runs[id].Load(); n != 1 {
+			t.Fatalf("record %d: callback ran %d times", id, n)
+		}
+	}
+	for i := 1; i < len(order); i++ {
+		if a, b := lsnOf[order[i-1]], lsnOf[order[i]]; a >= b {
+			t.Fatalf("callback for LSN %d ran after LSN %d", b, a)
+		}
+	}
+}
+
+// TestGroupCommitCloseRunsCallbacks: tickets staged but never waited on
+// are committed by Close, which runs their callbacks in LSN order.
+func TestGroupCommitCloseRunsCallbacks(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []int
+	var tickets []Ticket
+	for i := 0; i < 3; i++ {
+		tk, err := l.Stage([]byte{byte(i)}, func() { ran = append(ran, i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("callbacks ran before commit: %v", ran)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ran) != "[0 1 2]" {
+		t.Fatalf("Close ran callbacks %v, want [0 1 2]", ran)
+	}
+	for _, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestGroupCommitStagerLeadsFullGroup: a lone stager that fills the
+// group with no waiter around must commit the group itself rather than
+// wait forever.
+func TestGroupCommitStagerLeadsFullGroup(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncNever, GroupMax: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	applied := 0
+	for i := 0; i < 7; i++ {
+		if _, err := l.Stage([]byte{byte(i)}, func() { applied++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three full groups were committed by the stagers; the seventh
+	// record is still pending.
+	if st := l.Stats(); st.GroupCommits != 3 || applied != 6 {
+		t.Fatalf("%d group commits / %d applied after 7 stages with GroupMax 2, want 3 / 6",
+			st.GroupCommits, applied)
 	}
 }

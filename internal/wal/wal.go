@@ -80,8 +80,8 @@ type Options struct {
 	// (default 100ms).
 	Interval time.Duration
 	// GroupMax bounds how many staged records one commit group may
-	// carry (default DefaultGroupMax). Stage blocks once the pending
-	// group is full, which is the log's write backpressure.
+	// carry (default DefaultGroupMax). Stage first commits a full
+	// pending group, which is the log's write backpressure.
 	GroupMax int
 	// GroupWait is an optional delay the commit leader inserts before
 	// draining the pending group, trading latency for larger batches
@@ -143,11 +143,11 @@ var ErrClosed = errors.New("wal: log is closed")
 // concurrent use.
 //
 // Appends go through a group commit: Stage assigns the record's LSN and
-// buffers its frame under the lock, then Wait elects one waiter as the
-// commit leader. The leader drains every staged frame in one write (one
-// fsync under SyncAlways) while the lock is released, then wakes the
-// whole group. N concurrent appenders therefore share one fsync per
-// group instead of paying one each.
+// buffers its frame and apply callback under the lock, then Wait elects
+// one waiter as the commit leader. The leader drains every staged frame
+// in one write (one fsync under SyncAlways) while the lock is released,
+// runs the callbacks in LSN order, then wakes the whole group. N
+// concurrent appenders therefore share one fsync per group.
 type Log struct {
 	opt Options
 	rec Recovery
@@ -171,8 +171,10 @@ type Log struct {
 	// fsync fails, the LSNs of its frames are consumed but not on disk,
 	// so continuing would tear a hole in the sequence — the log fails
 	// stop and every later Stage/Wait reports the original error.
+	// applies holds the pending group's callbacks in stage (LSN) order.
 	pending    []byte
 	pendingN   int
+	applies    []func()
 	spare      []byte
 	committing bool
 	writtenLSN uint64
@@ -365,7 +367,7 @@ func (l *Log) AdvanceLSN(min uint64) {
 
 // Ticket is a staged append on its way to disk: LSN is already assigned,
 // Wait blocks until the record's commit group is written (and fsynced
-// under SyncAlways) or the log has failed.
+// under SyncAlways) and its callbacks have run, or the log has failed.
 type Ticket struct {
 	l   *Log
 	LSN uint64
@@ -386,12 +388,13 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // Stage assigns the next LSN and buffers one record into the pending
-// commit group, blocking only while the group is full (the log's write
-// backpressure). The record is NOT durable until Ticket.Wait returns;
-// stage order is LSN order, which is what lets a caller serialize its
-// own mutation order with a short critical section around Stage while
-// the expensive write+fsync runs outside it.
-func (l *Log) Stage(payload []byte) (Ticket, error) {
+// commit group; it is NOT durable until Ticket.Wait returns. The commit
+// leader runs apply (if given and non-nil) once the record is on disk,
+// in LSN order across all groups and before any Wait on the record
+// returns nil; a failed group runs none. apply must not call into the
+// log. A full pending group is committed by the stager itself unless a
+// leader is already running, so staging never depends on a waiter.
+func (l *Log) Stage(payload []byte, apply ...func()) (Ticket, error) {
 	if len(payload) > MaxRecord {
 		return Ticket{}, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
@@ -399,6 +402,10 @@ func (l *Log) Stage(payload []byte) (Ticket, error) {
 	defer l.mu.Unlock()
 	for !l.closed && l.ioErr == nil && l.pendingN > 0 &&
 		(l.pendingN >= l.opt.GroupMax || len(l.pending) >= maxGroupBytes) {
+		if !l.committing {
+			l.commitLocked()
+			continue
+		}
 		l.cond.Wait()
 	}
 	if l.closed {
@@ -412,6 +419,7 @@ func (l *Log) Stage(payload []byte) (Ticket, error) {
 	before := len(l.pending)
 	l.pending = appendFrame(l.pending, lsn, payload)
 	l.pendingN++
+	l.applies = append(l.applies, apply...)
 	n := int64(len(l.pending) - before)
 	l.appends.Add(1)
 	l.bytes.Add(n)
@@ -421,9 +429,9 @@ func (l *Log) Stage(payload []byte) (Ticket, error) {
 }
 
 // Wait blocks until the staged record is committed per the log's fsync
-// policy. The first waiter to find no commit in flight becomes the
-// group's leader and performs the write itself; everyone else sleeps
-// until the leader's broadcast. A ticket whose group failed reports the
+// policy and its apply callback has run. The first waiter to find no
+// commit in flight becomes the group's leader and performs the write
+// itself; everyone else sleeps until the leader's broadcast. A ticket whose group failed reports the
 // log's sticky I/O error.
 func (t Ticket) Wait() error {
 	l := t.l
@@ -448,7 +456,8 @@ func (t Ticket) Wait() error {
 // and committing false, returns with mu held and committing false again.
 // The staged group is swapped out under the lock, written (and fsynced
 // under SyncAlways) with the lock released so stagers keep filling the
-// next group, then accounted and broadcast.
+// next group, then its callbacks run (before committing clears, so no
+// later group overtakes them), and it is accounted and broadcast.
 func (l *Log) commitLocked() {
 	l.committing = true
 	if l.opt.GroupWait > 0 {
@@ -464,10 +473,11 @@ func (l *Log) commitLocked() {
 			return
 		}
 	}
-	buf, count, top := l.pending, l.pendingN, l.lastLSN
+	buf, count, top, applies := l.pending, l.pendingN, l.lastLSN, l.applies
 	l.pending = l.spare[:0]
 	l.pendingN = 0
 	l.spare = nil
+	l.applies = nil
 	f := l.f
 	syncNow := l.opt.Policy == SyncAlways
 
@@ -477,6 +487,11 @@ func (l *Log) commitLocked() {
 		start := time.Now()
 		if err = f.Sync(); err == nil {
 			l.mFsyncLat.ObserveSince(start)
+		}
+	}
+	for _, fn := range applies {
+		if err == nil && fn != nil {
+			fn()
 		}
 	}
 	l.mu.Lock()
@@ -652,8 +667,8 @@ func (l *Log) Compact(boundary uint64) (int, error) {
 // Close drains and commits any staged records, stops the background
 // syncer (if any), flushes and fsyncs the unsynced tail under every
 // policy except SyncNever, and closes the active segment. Tickets staged
-// before Close are committed durably; Stage after Close reports
-// ErrClosed.
+// before Close are committed durably and their callbacks run; Stage
+// after Close reports ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
